@@ -19,6 +19,7 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -29,7 +30,7 @@ use xqdb_xmlindex::ProbeStats;
 use xqdb_xqeval::{CollectionProvider, DynamicContext};
 use xqdb_xquery::ast::{ConstructorContent, Expr, FlworClause, Step};
 use xqdb_xquery::Query;
-use xqdb_storage::SqlValue;
+use xqdb_storage::{SqlValue, Table};
 
 use crate::catalog::Catalog;
 use crate::eligibility::{
@@ -103,6 +104,10 @@ pub struct ExecStats {
     pub btree_nodes_touched: usize,
     /// Documents fetched and evaluated, per source.
     pub docs_evaluated: HashMap<String, usize>,
+    /// Stored XML cells parsed back into document trees — the physical
+    /// decode work behind `docs_evaluated` (a row read that parses no XML,
+    /// such as the SQL relational pre-pass, adds nothing).
+    pub rows_decoded: u64,
     /// Collection sizes, per source.
     pub docs_total: HashMap<String, usize>,
     /// Sources whose index probe failed at execution time and fell back to
@@ -626,9 +631,12 @@ impl ParallelExecutor {
         }
         if self.pool.threads() > 1 {
             if let Some(part) = partition_plan(&plan.query) {
-                if let Some(rows) =
-                    monotone_surviving_rows(catalog, &part.source, filters.get(&part.source))
-                {
+                if let Some(rows) = monotone_surviving_rows(
+                    catalog,
+                    &part.source,
+                    filters.get(&part.source),
+                    &mut stats.rows_decoded,
+                ) {
                     if rows.len() > 1 {
                         let scan =
                             ShardedScan { filters: &filters, rows: &rows, part: &part };
@@ -643,8 +651,11 @@ impl ParallelExecutor {
         }
         let mut span = trace.span("scan");
         span.tag_str("mode", "serial");
-        let provider = FilteredProvider { catalog, filters: &filters, shard: None };
+        let decoded = AtomicU64::new(0);
+        let provider =
+            FilteredProvider { catalog, filters: &filters, shard: None, decoded: &decoded };
         let sequence = xqdb_xqeval::eval_query(&plan.query, &provider, ctx)?;
+        stats.rows_decoded += decoded.load(Ordering::Relaxed);
         ctx.budget.check_result_items(sequence.len())?;
         span.add_count(sequence.len() as u64);
         drop(span);
@@ -674,9 +685,11 @@ impl ParallelExecutor {
         span.tag_str("mode", "sharded");
         span.tag_with("source", || part.source.clone());
         let parent = span.id();
+        let decoded = AtomicU64::new(0);
         let task = |i: usize| {
             let shard = Shard { source: &part.source, rows: &rows[ranges[i].clone()] };
-            let provider = FilteredProvider { catalog, filters, shard: Some(shard) };
+            let provider =
+                FilteredProvider { catalog, filters, shard: Some(shard), decoded: &decoded };
             xqdb_xqeval::eval_query(&plan.query, &provider, ctx)
         };
         // The disabled path stays on plain `try_run`: no observation
@@ -703,6 +716,7 @@ impl ParallelExecutor {
         span.add_count(sequence.len() as u64);
         drop(span);
         stats.steps_used = ctx.budget.steps_used();
+        stats.rows_decoded += decoded.load(Ordering::Relaxed);
         stats.parallel_workers = self.pool.threads();
         stats.parallel_shards = ranges.len();
         Ok(ExecOutcome { sequence, stats, trace: trace.clone() })
@@ -858,6 +872,7 @@ pub(crate) fn record_exec_metrics(obs: &Obs, stats: &ExecStats) {
     obs.add(Counter::IndexProbeFaults, stats.index_faults as u64);
     obs.add(Counter::DegradationsToScan, stats.degraded_sources.len() as u64);
     obs.add(Counter::DocsEvaluated, stats.docs_evaluated_total() as u64);
+    obs.add(Counter::RowsDecoded, stats.rows_decoded);
     obs.add(Counter::PrefilterDocsSkipped, stats.prefilter_docs_skipped as u64);
     obs.add(Counter::TwigJoinsExecuted, stats.twig_joins);
     obs.add(Counter::TwigCandidates, stats.twig_candidates as u64);
@@ -992,27 +1007,28 @@ fn monotone_surviving_rows(
     catalog: &Catalog,
     source: &str,
     filter: Option<&BTreeSet<u64>>,
+    decoded: &mut u64,
 ) -> Option<Vec<u64>> {
     let (table, col) = catalog.db.resolve_xml_column(source).ok()?;
+    // Only the survivors' XML cells are decoded: rows the filters dropped
+    // cost nothing here either.
+    let ids: Box<dyn Iterator<Item = u64>> = match filter {
+        Some(f) => Box::new(f.iter().copied()),
+        None => Box::new(0..table.len() as u64),
+    };
     let mut rows = Vec::new();
     let mut last_doc: Option<u64> = None;
-    for item in table.scan() {
+    for row in ids {
         // A page fault here means the serial path will surface the same
         // typed error; declining the parallel plan is enough.
-        let (row, values) = item.ok()?;
-        if let Some(f) = filter {
-            if !f.contains(&(row as u64)) {
-                continue;
-            }
+        let Some(SqlValue::Xml(n)) = table.cell(row as usize, col).ok()? else { continue };
+        *decoded += 1;
+        let doc = n.doc.id.0;
+        if last_doc.is_some_and(|d| d >= doc) {
+            return None;
         }
-        if let SqlValue::Xml(n) = &values[col] {
-            let doc = n.doc.id.0;
-            if last_doc.is_some_and(|d| d >= doc) {
-                return None;
-            }
-            last_doc = Some(doc);
-            rows.push(row as u64);
-        }
+        last_doc = Some(doc);
+        rows.push(row);
     }
     Some(rows)
 }
@@ -1141,6 +1157,7 @@ pub(crate) fn render_execution_sections(out: &mut String, s: &ExecStats, trace: 
         "  documents evaluated: {} of {total}\n",
         s.docs_evaluated_total()
     ));
+    out.push_str(&format!("  rows decoded: {}\n", s.rows_decoded));
     out.push_str(&format!(
         "  prefilter docs skipped: {}\n",
         s.prefilter_docs_skipped
@@ -1214,11 +1231,25 @@ struct FilteredProvider<'a> {
     catalog: &'a Catalog,
     filters: &'a HashMap<String, BTreeSet<u64>>,
     shard: Option<Shard<'a>>,
+    /// XML cells parsed so far (shared by every worker's provider).
+    decoded: &'a AtomicU64,
 }
 
 impl<'a> FilteredProvider<'a> {
     /// Fault-injection point shared by both scan shapes: same semantics as
     /// `Database::xmlcolumn`, a document fetch fault has no fallback.
+    /// Fetch one row's XML cell (decoding only that column), counting the
+    /// parse. NULL cells and deleted rows yield nothing.
+    fn fetch(&self, table: &Table, row: u64, col: usize) -> Result<Option<Item>, XdmError> {
+        match table.cell(row as usize, col)? {
+            Some(SqlValue::Xml(n)) => {
+                self.decoded.fetch_add(1, Ordering::Relaxed);
+                Ok(Some(Item::Node(n)))
+            }
+            _ => Ok(None),
+        }
+    }
+
     fn check_fetch_fault(&self, row: usize, key: &str) -> Result<(), XdmError> {
         if let Some(inj) = self.catalog.db.fault_injector() {
             if inj.should_fail() {
@@ -1242,9 +1273,7 @@ impl<'a> CollectionProvider for FilteredProvider<'a> {
             let mut out = Vec::with_capacity(shard.rows.len());
             for &row in shard.rows {
                 self.check_fetch_fault(row as usize, &key)?;
-                if let Some(SqlValue::Xml(n)) = table.cell(row as usize, col)? {
-                    out.push(Item::Node(n));
-                }
+                out.extend(self.fetch(table, row, col)?);
             }
             return Ok(out);
         }
@@ -1257,18 +1286,21 @@ impl<'a> CollectionProvider for FilteredProvider<'a> {
             let mut out = Vec::with_capacity(f.len());
             for &row in f {
                 self.check_fetch_fault(row as usize, &key)?;
-                if let Some(SqlValue::Xml(n)) = table.cell(row as usize, col)? {
-                    out.push(Item::Node(n));
-                }
+                out.extend(self.fetch(table, row, col)?);
             }
             return Ok(out);
         }
+        // Full scan: only this column is decoded, so a table's other XML
+        // columns are stepped over unparsed.
+        let mut want = vec![false; table.columns.len()];
+        want[col] = true;
         let mut out = Vec::new();
-        for item in table.scan() {
-            let (row, values) = item?;
+        for item in table.scan_columns(&want) {
+            let (row, mut cells) = item?;
             self.check_fetch_fault(row, &key)?;
-            if let SqlValue::Xml(n) = &values[col] {
-                out.push(Item::Node(n.clone()));
+            if let Some(Some(SqlValue::Xml(n))) = cells.get_mut(col).map(Option::take) {
+                self.decoded.fetch_add(1, Ordering::Relaxed);
+                out.push(Item::Node(n));
             }
         }
         Ok(out)

@@ -44,6 +44,13 @@
 //!   use of `$v` adds its own, stricter group. `let $v := collection()`
 //!   emits an **empty** group — no filtering — because `count($v)` must
 //!   see every document.
+//! * `let $v := $f/<path>` over a `for` variable `$f` emits **nothing**:
+//!   a `let` binds the empty sequence on a document without the path and
+//!   the tuple survives, so the path must not join `$f`'s group. Uses of
+//!   `$v` that do eliminate the tuple (`where`, nested `for`, predicates)
+//!   tighten `$f`'s group as uses of `$f` would. In SQL row filtering a
+//!   `let` over the PASSING variable is likewise never a requirement (the
+//!   row passes on the body's other uses); its variable goes unrecognized.
 //! * `where` conjuncts (after `and`-flattening): a rooted path requires
 //!   itself; general/value comparisons require their rooted-path operands
 //!   (existential semantics: an empty operand makes the conjunct false).
@@ -252,6 +259,29 @@ struct Target {
     group: usize,
     prefix: Vec<PathComponent>,
     exact: bool,
+    /// The group was opened for this use (not a `for` variable's group).
+    fresh: bool,
+}
+
+impl Target {
+    /// Bind a variable to this position: its uses tighten this group.
+    fn into_for(self) -> Binding {
+        let Target { source, group, prefix, exact, .. } = self;
+        Binding::For { source, group, prefix, exact }
+    }
+}
+
+/// The position a path use occupies: whether it may tighten the group of
+/// the `for` variable it is rooted at.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// A use whose emptiness eliminates the tuple (`for`, `where`,
+    /// predicates): its paths join the group it resolves to.
+    Filter,
+    /// A `let` binding. `let` keeps tuples whose value is empty, so a
+    /// `let` rooted at a `for` variable adds nothing to that variable's
+    /// group.
+    Let,
 }
 
 struct Extractor {
@@ -295,14 +325,7 @@ impl Extractor {
         for clause in &f.clauses {
             match clause {
                 FlworClause::For { var, position, expr } => {
-                    let binding = self.use_target(expr, &vars).map(
-                        |Target { source, group, prefix, exact }| Binding::For {
-                            source,
-                            group,
-                            prefix,
-                            exact,
-                        },
-                    );
+                    let binding = self.use_target(expr, &vars, Role::Filter).map(Target::into_for);
                     match binding {
                         Some(b) => {
                             vars.insert(var.clone(), b);
@@ -319,7 +342,17 @@ impl Extractor {
                     }
                 }
                 FlworClause::Let { var, expr } => {
-                    match self.use_target(expr, &vars) {
+                    match self.use_target(expr, &vars, Role::Let) {
+                        // Rooted at a `for` variable: nothing was emitted.
+                        // The `let` variable stands for nodes under that
+                        // tuple's binding, so its *uses* in `where`,
+                        // nested `for`s and predicates — which do
+                        // eliminate the tuple when empty — still tighten
+                        // the `for` group, exactly like uses of the `for`
+                        // variable itself.
+                        Some(t) if !t.fresh => {
+                            vars.insert(var.clone(), t.into_for());
+                        }
                         Some(t) => {
                             // The use_target call above already emitted the
                             // binding path into its own (new or existing)
@@ -394,23 +427,27 @@ impl Extractor {
 
     /// A rooted-path use in a non-binding position: emit its requirements.
     fn rooted_use(&mut self, init: &Expr, steps: &[Step], vars: &Vars) {
-        self.follow(init, steps, vars);
+        self.follow(init, steps, vars, Role::Filter);
     }
 
     /// A rooted-path use in a binding position (`for`/`let`): emit its
-    /// requirements and return where the bound nodes live.
-    fn use_target(&mut self, expr: &Expr, vars: &Vars) -> Option<Target> {
+    /// requirements (as `role` allows) and return where the bound nodes
+    /// live.
+    fn use_target(&mut self, expr: &Expr, vars: &Vars, role: Role) -> Option<Target> {
         match expr.unparen() {
-            Expr::Path { init, steps } => self.follow(init, steps, vars),
+            Expr::Path { init, steps } => self.follow(init, steps, vars, role),
             // `for $y in $x` / bare xmlcolumn(): a path with no steps.
-            other => self.follow(other, &[], vars),
+            other => self.follow(other, &[], vars, role),
         }
     }
 
     /// Resolve the root of a path use, walk its steps, emit the resulting
-    /// required paths, and return the end position.
-    fn follow(&mut self, init: &Expr, steps: &[Step], vars: &Vars) -> Option<Target> {
-        let mut t = self.resolve_init(init, vars)?;
+    /// required paths, and return the end position. A `let` rooted at a
+    /// `for` variable's group walks the same steps but emits nothing —
+    /// neither its path nor its step predicates may tighten that group.
+    fn follow(&mut self, init: &Expr, steps: &[Step], vars: &Vars, role: Role) -> Option<Target> {
+        let mut t = self.resolve_init(init, vars, role)?;
+        let quiet = role == Role::Let && !t.fresh;
         for step in steps {
             if !t.exact {
                 break;
@@ -422,8 +459,10 @@ impl Extractor {
                         break;
                     };
                     t.prefix.push(PathComponent::Element(name));
-                    for p in predicates {
-                        self.predicate(p, &t, vars);
+                    if !quiet {
+                        for p in predicates {
+                            self.predicate(p, &t, vars);
+                        }
                     }
                 }
                 Step::Axis { axis: Axis::Attribute, test: NodeTest::Name(nt), .. } => {
@@ -449,13 +488,15 @@ impl Extractor {
         // a zero-step use's seed prefix matters: it keeps the use's group
         // non-empty, so an alias use like `for $y in $x` doesn't create a
         // vacuous accept-everything group.
-        self.emit(&t);
+        if !quiet {
+            self.emit(&t);
+        }
         Some(t)
     }
 
     /// Resolve what a path's `init` expression is rooted at. Creates the
     /// use's group (so step predicates have somewhere to emit).
-    fn resolve_init(&mut self, init: &Expr, vars: &Vars) -> Option<Target> {
+    fn resolve_init(&mut self, init: &Expr, vars: &Vars, role: Role) -> Option<Target> {
         match init.unparen() {
             Expr::VarRef(v) => match vars.get(v)? {
                 Binding::For { source, group, prefix, exact } => Some(Target {
@@ -463,7 +504,14 @@ impl Extractor {
                     group: *group,
                     prefix: prefix.clone(),
                     exact: *exact,
+                    fresh: false,
                 }),
+                // In SQL row filtering a row passes when the whole body
+                // is non-empty, and a `let` over the document variable
+                // cannot empty it (`let $p := $d/promo return $d/custid`
+                // holds on a document without <promo>): such a `let`
+                // opens no group and its variable goes unrecognized.
+                Binding::Seed { .. } if role == Role::Let && !self.recognize_xmlcolumn => None,
                 Binding::Seed { source, prefix } => {
                     Some(self.new_group(source.clone(), prefix.clone()))
                 }
@@ -471,9 +519,11 @@ impl Extractor {
             // `$x[pred]/...` — resolve the inner root, then apply the
             // filter predicates at its position.
             Expr::Filter { expr, predicates } => {
-                let t = self.resolve_init(expr, vars)?;
-                for p in predicates {
-                    self.predicate(p, &t, vars);
+                let t = self.resolve_init(expr, vars, role)?;
+                if role == Role::Filter || t.fresh {
+                    for p in predicates {
+                        self.predicate(p, &t, vars);
+                    }
                 }
                 Some(t)
             }
@@ -497,7 +547,7 @@ impl Extractor {
     fn new_group(&mut self, source: String, prefix: Vec<PathComponent>) -> Target {
         let groups = self.groups.entry(source.clone()).or_default();
         groups.push(Vec::new());
-        Target { source, group: groups.len() - 1, prefix, exact: true }
+        Target { source, group: groups.len() - 1, prefix, exact: true, fresh: true }
     }
 
     /// Add the target's current prefix as a required path of its group.
@@ -549,6 +599,7 @@ impl Extractor {
                 group: at.group,
                 prefix: at.prefix.clone(),
                 exact: true,
+                fresh: at.fresh,
             };
             let base_len = t.prefix.len();
             for step in steps {

@@ -25,7 +25,7 @@ use xqdb_xdm::{cast, AtomicType, AtomicValue, ErrorCode, ExpandedName, Item, Seq
 use xqdb_xmlindex::ProbeStats;
 use xqdb_xqeval::{eval_query, DynamicContext};
 use xqdb_xquery::Query;
-use xqdb_storage::{sql_compare, SqlType, SqlValue};
+use xqdb_storage::{sql_compare, SqlType, SqlValue, Table};
 
 use crate::catalog::Catalog;
 use crate::durability::{open_durable_catalog, Durability, RecoveryReport};
@@ -435,7 +435,10 @@ impl SqlSession {
 
     /// The rows of `table` whose WHERE evaluation is TRUE, as
     /// `(rowid, stored values)` pairs in row order. `None` matches every
-    /// live row (SQL semantics of a missing WHERE).
+    /// live row (SQL semantics of a missing WHERE). The WHERE is planned
+    /// exactly as a one-table SELECT's and resolved through the same row
+    /// source, so index probes, twig joins, the prefilter and the
+    /// relational pre-pass narrow the rows before any XML is parsed.
     fn dml_matching_rows(
         &self,
         table: &str,
@@ -447,33 +450,24 @@ impl SqlSession {
         let t = self.catalog.db.table(table).ok_or_else(|| {
             XdmError::new(ErrorCode::SqlType, format!("unknown table {table:?}"))
         })?;
-        let alias = t.name.clone();
+        let sel = SelectStmt {
+            items: vec![SelectItem::Star],
+            from: vec![FromItem::Table { name: t.name.clone(), alias: t.name.clone() }],
+            where_cond: where_cond.clone(),
+        };
+        let plan = self.plan_select_traced(&sel, trace)?;
+        note_plan_cost(&plan, stats);
+        let filters = self.access_paths(&plan, stats, trace, budget)?;
         let mut span = trace.span("scan");
-        stats.docs_total.insert(t.name.clone(), t.len());
-        let mut scanned = 0usize;
-        let mut out = Vec::new();
-        for item in t.scan() {
-            let (rid, values) = item?;
-            scanned += 1;
-            let pass = match where_cond {
-                None => true,
-                Some(cond) => {
-                    let mut ctx = RowCtx::default();
-                    for (ci, col) in t.columns.iter().enumerate() {
-                        ctx.values.insert(
-                            (alias.clone(), col.name.clone()),
-                            Scalar::from_stored(&values[ci]),
-                        );
-                        ctx.order.push((alias.clone(), col.name.clone()));
-                    }
-                    self.eval_cond(cond, &ctx, budget)? == Some(true)
-                }
-            };
-            if pass {
-                out.push((rid as u64, values));
-            }
-        }
-        stats.docs_evaluated.insert(t.name.clone(), scanned);
+        let conjuncts = where_conjuncts(where_cond.as_ref());
+        let prepass = Prepass::plan(&conjuncts, &sel.from, 0, t, &self.catalog.db);
+        let rows = self.table_rows(t, filters.get(&t.name), &prepass, stats, budget)?;
+        let ctxs: Vec<RowCtx> =
+            rows.iter().map(|(_, values)| RowCtx::default().joined(&t.name, t, values)).collect();
+        let keep =
+            self.residual_where(where_cond.as_ref(), &ctxs, stats, trace, span.id(), budget)?;
+        let out: Vec<_> =
+            rows.into_iter().zip(keep).filter_map(|(row, k)| k.then_some(row)).collect();
         span.add_count(out.len() as u64);
         Ok(out)
     }
@@ -494,13 +488,7 @@ impl SqlSession {
         let t = self.catalog.db.table(table).ok_or_else(|| {
             XdmError::new(ErrorCode::SqlType, format!("unknown table {table:?}"))
         })?;
-        let alias = t.name.clone();
-        let mut ctx = RowCtx::default();
-        for (ci, col) in t.columns.iter().enumerate() {
-            ctx.values
-                .insert((alias.clone(), col.name.clone()), Scalar::from_stored(&old[ci]));
-            ctx.order.push((alias.clone(), col.name.clone()));
-        }
+        let ctx = RowCtx::default().joined(&t.name, t, old);
         let mut row = old.to_vec();
         for (col, expr) in set {
             let upper = col.to_ascii_uppercase();
@@ -917,25 +905,30 @@ impl SqlSession {
         Ok(Arc::new(plan))
     }
 
-    /// Execute a SELECT against an already-compiled plan. `cache_hit`
-    /// records whether the plan came from the statement cache (the matching
-    /// counter was incremented by the caller).
-    fn run_select_planned(
+    // ----------------------------------------------------------- row source
+    //
+    // Every SQL read of a base table — SELECT, the point query, and the
+    // UPDATE/DELETE match — goes through these four stages:
+    //
+    // 1. `access_paths`: index probe → twig join → prefilter, giving a
+    //    survivor rowid set per table (absent: every row survives);
+    // 2. the relational pre-pass (`Prepass`, inside `table_rows`): the
+    //    leading WHERE conjuncts over non-XML columns of the table, on
+    //    rows decoded column-selectively, so no XML is parsed;
+    // 3. the survivor fetch (`table_rows`): full rows, by point lookup, in
+    //    rowid order;
+    // 4. `residual_where`: the whole WHERE, unchanged, on the fetched
+    //    rows (serial or on the pool).
+
+    /// Row source stage 1: run the plan's access paths and return the
+    /// surviving rowids per table. Tables without an entry are unfiltered.
+    fn access_paths(
         &self,
-        sel: &SelectStmt,
         plan: &SqlPlan,
-        cache_hit: bool,
+        stats: &mut ExecStats,
         trace: &Trace,
         budget: &Arc<xqdb_xdm::Budget>,
-    ) -> Result<SqlResult, XdmError> {
-        let mut stats = ExecStats::new();
-        stats.plan_cache_hits = u64::from(cache_hit);
-        stats.plan_cache_misses = u64::from(!cache_hit);
-        if plan.cost.costed {
-            stats.plans_costed = 1;
-            stats.index_candidates_costed = plan.cost.candidates;
-            stats.cost_est_rows = plan.cost.est_rows.unwrap_or(0);
-        }
+    ) -> Result<HashMap<String, BTreeSet<u64>>, XdmError> {
         // Resolve per-table row filters from compiled accesses. Iterate in
         // source order so spans and degradations are deterministic.
         let mut row_filters: HashMap<String, BTreeSet<u64>> = HashMap::new();
@@ -1086,41 +1079,163 @@ impl SqlSession {
                 row_filters.insert(table, survivors);
             }
         }
+        Ok(row_filters)
+    }
+
+    /// Row source stages 2 and 3 for one FROM table: the rows that survive
+    /// `survivors` (stage 1) and the relational pre-pass, fetched whole in
+    /// rowid order. Counts the fetched rows as documents evaluated and
+    /// their XML cells as decoded.
+    fn table_rows(
+        &self,
+        t: &Table,
+        survivors: Option<&BTreeSet<u64>>,
+        prepass: &Prepass<'_>,
+        stats: &mut ExecStats,
+        budget: &Arc<xqdb_xdm::Budget>,
+    ) -> Result<Vec<(u64, Vec<SqlValue>)>, XdmError> {
+        stats.docs_total.insert(t.name.clone(), t.len());
+        let ids: Vec<u64> = if prepass.conds.is_empty() {
+            match survivors {
+                Some(s) => s.iter().copied().collect(),
+                None => (0..t.len() as u64).collect(),
+            }
+        } else {
+            let mut ids = Vec::new();
+            let mut ctx = RowCtx::default();
+            let mut test = |id: u64, cells: Vec<Option<SqlValue>>| {
+                prepass.load(&mut ctx, t, cells);
+                if prepass.keep(self, &ctx, budget)? {
+                    ids.push(id);
+                }
+                Ok::<_, XdmError>(())
+            };
+            match survivors {
+                Some(s) => {
+                    for &id in s {
+                        if let Some(cells) = t.row_columns(id as usize, &prepass.want)? {
+                            test(id, cells)?;
+                        }
+                    }
+                }
+                None => {
+                    for item in t.scan_columns(&prepass.want) {
+                        let (id, cells) = item?;
+                        test(id as u64, cells)?;
+                    }
+                }
+            }
+            ids
+        };
+        let mut out = Vec::with_capacity(ids.len());
+        for id in ids {
+            if let Some(values) = t.row(id as usize)? {
+                stats.rows_decoded +=
+                    values.iter().filter(|v| matches!(v, SqlValue::Xml(_))).count() as u64;
+                out.push((id, values));
+            }
+        }
+        stats.docs_evaluated.insert(t.name.clone(), out.len());
+        Ok(out)
+    }
+
+    /// Row source stage 4: evaluate the whole WHERE on each fetched row,
+    /// returning one keep flag per row (TRUE only — three-valued logic).
+    /// Row conditions are independent of one another, so with a pool
+    /// configured the rows evaluate in chunks across workers; the flags
+    /// come back in row order, identical to the serial loop.
+    fn residual_where(
+        &self,
+        cond: Option<&SqlCond>,
+        rows: &[RowCtx],
+        stats: &mut ExecStats,
+        trace: &Trace,
+        parent: Option<xqdb_obs::SpanId>,
+        budget: &Arc<xqdb_xdm::Budget>,
+    ) -> Result<Vec<bool>, XdmError> {
+        let Some(cond) = cond else { return Ok(vec![true; rows.len()]) };
+        let threads = self.catalog.runtime.effective_threads();
+        if threads <= 1 || rows.len() <= 1 {
+            return rows
+                .iter()
+                .map(|ctx| Ok(self.eval_cond(cond, ctx, budget)? == Some(true)))
+                .collect();
+        }
+        let pool = WorkerPool::new(threads);
+        let ranges = chunk_ranges(rows.len(), pool.default_chunks(rows.len()));
+        let task = |i: usize| {
+            let mut out = Vec::with_capacity(ranges[i].len());
+            for ctx in &rows[ranges[i].clone()] {
+                out.push(self.eval_cond(cond, ctx, budget)? == Some(true));
+            }
+            Ok::<_, XdmError>(out)
+        };
+        let flags = if trace.enabled() {
+            pool.try_run_observed(ranges.len(), task, |t| {
+                trace.record_finished(
+                    parent,
+                    "worker task",
+                    t.started,
+                    t.nanos,
+                    0,
+                    vec![("worker", t.worker.to_string()), ("task", t.task.to_string())],
+                );
+            })?
+        } else {
+            pool.try_run(ranges.len(), task)?
+        };
+        stats.parallel_workers = pool.threads();
+        stats.parallel_shards = ranges.len();
+        Ok(flags.into_iter().flatten().collect())
+    }
+
+    /// Execute a SELECT against an already-compiled plan. `cache_hit`
+    /// records whether the plan came from the statement cache (the matching
+    /// counter was incremented by the caller).
+    fn run_select_planned(
+        &self,
+        sel: &SelectStmt,
+        plan: &SqlPlan,
+        cache_hit: bool,
+        trace: &Trace,
+        budget: &Arc<xqdb_xdm::Budget>,
+    ) -> Result<SqlResult, XdmError> {
+        let mut stats = ExecStats::new();
+        stats.plan_cache_hits = u64::from(cache_hit);
+        stats.plan_cache_misses = u64::from(!cache_hit);
+        note_plan_cost(plan, &mut stats);
+        let row_filters = self.access_paths(plan, &mut stats, trace, budget)?;
 
         let mut scan_span = trace.span("scan");
+        let conjuncts = where_conjuncts(sel.where_cond.as_ref());
         // Build the row stream via nested loops.
         let mut rows: Vec<RowCtx> = vec![RowCtx::default()];
-        for item in &sel.from {
+        for (pos, item) in sel.from.iter().enumerate() {
             let mut next = Vec::new();
             match item {
                 FromItem::Table { name, alias } => {
                     let t = self.catalog.db.table(name).ok_or_else(|| {
                         XdmError::new(ErrorCode::SqlType, format!("unknown table {name:?}"))
                     })?;
-                    let filter = row_filters.get(&t.name);
-                    stats.docs_total.insert(t.name.clone(), t.len());
-                    let mut scanned = 0usize;
-                    for item in t.scan() {
-                        let (rid, values) = item?;
-                        if let Some(f) = filter {
-                            if !f.contains(&(rid as u64)) {
-                                continue;
-                            }
-                        }
-                        scanned += 1;
+                    // Access paths are keyed by table, not alias: a table
+                    // listed twice (a self-join) may be filtered for one
+                    // alias only, so its instances read unfiltered.
+                    let listed = sel
+                        .from
+                        .iter()
+                        .filter(|f| match f {
+                            FromItem::Table { name, .. } => name.eq_ignore_ascii_case(&t.name),
+                            FromItem::XmlTable { .. } => false,
+                        })
+                        .count();
+                    let filter = if listed == 1 { row_filters.get(&t.name) } else { None };
+                    let prepass = Prepass::plan(&conjuncts, &sel.from, pos, t, &self.catalog.db);
+                    let fetched = self.table_rows(t, filter, &prepass, &mut stats, budget)?;
+                    for (_, values) in &fetched {
                         for base in &rows {
-                            let mut ctx = base.clone();
-                            for (ci, col) in t.columns.iter().enumerate() {
-                                ctx.values.insert(
-                                    (alias.clone(), col.name.clone()),
-                                    Scalar::from_stored(&values[ci]),
-                                );
-                                ctx.order.push((alias.clone(), col.name.clone()));
-                            }
-                            next.push(ctx);
+                            next.push(base.joined(alias, t, values));
                         }
                     }
-                    stats.docs_evaluated.insert(t.name.clone(), scanned);
                 }
                 FromItem::XmlTable { row_query, passing, columns, alias, column_aliases } => {
                     for base in &rows {
@@ -1139,61 +1254,16 @@ impl SqlSession {
             }
             rows = next;
         }
-
-        // WHERE. Row conditions are independent of one another, so with a
-        // pool configured the predicate phase (each row runs its XMLEXISTS
-        // residuals) evaluates in row chunks across workers; the kept set
-        // is rebuilt in row order, identical to the serial loop.
-        let threads = self.catalog.runtime.effective_threads();
-        let kept = match &sel.where_cond {
-            Some(cond) if threads > 1 && rows.len() > 1 => {
-                let pool = WorkerPool::new(threads);
-                let ranges = chunk_ranges(rows.len(), pool.default_chunks(rows.len()));
-                let rows_ref = &rows;
-                let parent = scan_span.id();
-                let task = |i: usize| {
-                    let mut out = Vec::with_capacity(ranges[i].len());
-                    for ctx in &rows_ref[ranges[i].clone()] {
-                        out.push(self.eval_cond(cond, ctx, budget)? == Some(true));
-                    }
-                    Ok::<_, XdmError>(out)
-                };
-                let flags = if trace.enabled() {
-                    pool.try_run_observed(ranges.len(), task, |t| {
-                        trace.record_finished(
-                            parent,
-                            "worker task",
-                            t.started,
-                            t.nanos,
-                            0,
-                            vec![
-                                ("worker", t.worker.to_string()),
-                                ("task", t.task.to_string()),
-                            ],
-                        );
-                    })?
-                } else {
-                    pool.try_run(ranges.len(), task)?
-                };
-                stats.parallel_workers = pool.threads();
-                stats.parallel_shards = ranges.len();
-                let mut pass = flags.into_iter().flatten();
-                rows.into_iter().filter(|_| pass.next() == Some(true)).collect()
-            }
-            _ => {
-                let mut kept = Vec::new();
-                for ctx in rows {
-                    let pass = match &sel.where_cond {
-                        None => true,
-                        Some(c) => self.eval_cond(c, &ctx, budget)? == Some(true),
-                    };
-                    if pass {
-                        kept.push(ctx);
-                    }
-                }
-                kept
-            }
-        };
+        let keep = self.residual_where(
+            sel.where_cond.as_ref(),
+            &rows,
+            &mut stats,
+            trace,
+            scan_span.id(),
+            budget,
+        )?;
+        let kept: Vec<RowCtx> =
+            rows.into_iter().zip(keep).filter_map(|(row, k)| k.then_some(row)).collect();
         scan_span.add_count(kept.len() as u64);
         drop(scan_span);
 
@@ -1393,38 +1463,247 @@ struct RowCtx {
 }
 
 impl RowCtx {
+    /// This row extended with one stored row of `t` under `alias`.
+    fn joined(&self, alias: &str, t: &Table, values: &[SqlValue]) -> RowCtx {
+        let mut ctx = self.clone();
+        for (col, v) in t.columns.iter().zip(values) {
+            ctx.values.insert((alias.to_string(), col.name.clone()), Scalar::from_stored(v));
+            ctx.order.push((alias.to_string(), col.name.clone()));
+        }
+        ctx
+    }
+
     fn lookup(&self, qualifier: Option<&str>, name: &str) -> Result<Scalar, XdmError> {
-        let name = name.to_ascii_uppercase();
+        self.resolve(qualifier, name).map(|(_, v)| v.clone())
+    }
+
+    /// The `(alias, column)` entry `[qualifier.]name` names (matched
+    /// upper-cased, as SQL identifiers are stored), without allocating on
+    /// the hit path — this runs once per column reference per row.
+    fn resolve(
+        &self,
+        qualifier: Option<&str>,
+        name: &str,
+    ) -> Result<(&(String, String), &Scalar), XdmError> {
         match qualifier {
-            Some(q) => {
-                let q = q.to_ascii_uppercase();
-                self.values
-                    .get(&(q.clone(), name.clone()))
-                    .cloned()
-                    .ok_or_else(|| {
-                        XdmError::new(
-                            ErrorCode::SqlType,
-                            format!("unknown column {q}.{name}"),
-                        )
-                    })
-            }
+            Some(q) => self
+                .values
+                .iter()
+                .find(|((a, n), _)| upper_eq(a, q) && upper_eq(n, name))
+                .ok_or_else(|| {
+                    XdmError::new(
+                        ErrorCode::SqlType,
+                        format!(
+                            "unknown column {}.{}",
+                            q.to_ascii_uppercase(),
+                            name.to_ascii_uppercase()
+                        ),
+                    )
+                }),
             None => {
                 let mut found = None;
-                for ((_, n), v) in &self.values {
-                    if *n == name {
+                for entry @ ((_, n), _) in &self.values {
+                    if upper_eq(n, name) {
                         if found.is_some() {
                             return Err(XdmError::new(
                                 ErrorCode::SqlType,
-                                format!("ambiguous column {name}"),
+                                format!("ambiguous column {}", name.to_ascii_uppercase()),
                             ));
                         }
-                        found = Some(v.clone());
+                        found = Some(entry);
                     }
                 }
                 found.ok_or_else(|| {
-                    XdmError::new(ErrorCode::SqlType, format!("unknown column {name}"))
+                    XdmError::new(
+                        ErrorCode::SqlType,
+                        format!("unknown column {}", name.to_ascii_uppercase()),
+                    )
                 })
             }
+        }
+    }
+}
+
+/// `stored == ident.to_ascii_uppercase()`, without the allocation.
+fn upper_eq(stored: &str, ident: &str) -> bool {
+    stored.len() == ident.len()
+        && stored.bytes().zip(ident.bytes()).all(|(s, i)| s == i.to_ascii_uppercase())
+}
+
+/// Row source stage 2 for one FROM table: the relational pre-pass.
+///
+/// It holds the *leading* WHERE conjuncts (after AND-flattening, in
+/// evaluation order) that read only non-XML columns of this table and
+/// embed no XQuery — `ordid = 5`, `5 > ordid`, `a = 1 OR b < 2`; an OR
+/// that mixes a relational test with `XMLEXISTS` is never taken. These
+/// are evaluated with [`SqlSession::eval_cond`] on a row decoded column
+/// by column, so no XML payload is parsed.
+///
+/// A row is dropped only where the full WHERE is certainly not TRUE *and*
+/// would raise no error. `AND` evaluates left to right and stops at the
+/// first FALSE, so a FALSE leading conjunct decides the row before any
+/// later conjunct runs. An UNKNOWN only decides it when the pre-pass holds
+/// every conjunct. A conjunct that raises an error keeps the row: the
+/// residual WHERE raises that same error, in row order. Budget errors
+/// stop the statement at once, as in any other stage.
+struct Prepass<'a> {
+    /// The alias the conjuncts name the table by.
+    alias: String,
+    conds: Vec<&'a SqlCond>,
+    /// `conds` is the whole WHERE, so a row they leave UNKNOWN is dropped.
+    whole: bool,
+    /// The columns the conjuncts read — the decode mask.
+    want: Vec<bool>,
+}
+
+impl<'a> Prepass<'a> {
+    /// The pre-pass of the table at `from[pos]`. Empty when the table's
+    /// alias is not unique, or when an `XMLTABLE` follows it in FROM (its
+    /// lateral expansion runs per row and may raise errors that dropping
+    /// the row early would hide).
+    fn plan(
+        conjuncts: &[&'a SqlCond],
+        from: &[FromItem],
+        pos: usize,
+        t: &Table,
+        db: &xqdb_storage::Database,
+    ) -> Prepass<'a> {
+        let alias = from.get(pos).map_or("", from_alias);
+        let mut prepass = Prepass {
+            alias: alias.to_string(),
+            conds: Vec::new(),
+            whole: false,
+            want: vec![false; t.columns.len()],
+        };
+        let Some(shape) = from_shape(from, db) else { return prepass };
+        let unique = from.iter().filter(|f| from_alias(f) == alias).count() == 1;
+        let later_xmltable =
+            from.iter().skip(pos + 1).any(|f| matches!(f, FromItem::XmlTable { .. }));
+        if !unique || later_xmltable {
+            return prepass;
+        }
+        let scope = ColumnScope { alias, t, shape: &shape };
+        // (A conjunct that fails the test may still have marked a column:
+        // one more non-XML column decoded, nothing parsed.)
+        for c in conjuncts {
+            if !scope.relational_cond(c, &mut prepass.want) {
+                break;
+            }
+            prepass.conds.push(c);
+        }
+        prepass.whole = prepass.conds.len() == conjuncts.len();
+        prepass
+    }
+
+    /// Load one column-selectively decoded row into `ctx`, the pre-pass's
+    /// evaluation context: only the wanted columns, under the table's
+    /// alias. The context is reused row after row, so its keys are
+    /// allocated once.
+    fn load(&self, ctx: &mut RowCtx, t: &Table, cells: Vec<Option<SqlValue>>) {
+        for (col, cell) in t.columns.iter().zip(cells) {
+            let Some(v) = cell else { continue };
+            let v = Scalar::from_stored(&v);
+            match ctx.values.iter_mut().find(|((_, n), _)| *n == col.name) {
+                Some((_, slot)) => *slot = v,
+                None => {
+                    ctx.values.insert((self.alias.clone(), col.name.clone()), v);
+                }
+            }
+        }
+    }
+
+    /// Keep the row unless the WHERE is certainly not TRUE for it.
+    fn keep(
+        &self,
+        session: &SqlSession,
+        row: &RowCtx,
+        budget: &Arc<xqdb_xdm::Budget>,
+    ) -> Result<bool, XdmError> {
+        let mut unknown = false;
+        for c in &self.conds {
+            match session.eval_cond(c, row, budget) {
+                Ok(Some(true)) => {}
+                Ok(Some(false)) => return Ok(false),
+                Ok(None) => unknown = true,
+                Err(e) if matches!(e.code, ErrorCode::ResourceExhausted | ErrorCode::Cancelled) => {
+                    return Err(e)
+                }
+                // The residual WHERE raises this error on the fetched row.
+                Err(_) => return Ok(true),
+            }
+        }
+        Ok(!(unknown && self.whole))
+    }
+}
+
+fn from_alias(item: &FromItem) -> &str {
+    match item {
+        FromItem::Table { alias, .. } | FromItem::XmlTable { alias, .. } => alias,
+    }
+}
+
+/// The joined row of `from` with every value NULL: the names a column
+/// reference can resolve to. `None` if a table is unknown (planning has
+/// already rejected the statement then).
+fn from_shape(from: &[FromItem], db: &xqdb_storage::Database) -> Option<RowCtx> {
+    let mut shape = RowCtx::default();
+    for item in from {
+        match item {
+            FromItem::Table { name, alias } => {
+                for col in &db.table(name)?.columns {
+                    shape.values.insert((alias.clone(), col.name.clone()), Scalar::Null);
+                }
+            }
+            FromItem::XmlTable { columns, alias, column_aliases, .. } => {
+                for (ci, col) in columns.iter().enumerate() {
+                    let cname = column_aliases.get(ci).unwrap_or(&col.name);
+                    shape.values.insert((alias.clone(), cname.clone()), Scalar::Null);
+                }
+            }
+        }
+    }
+    Some(shape)
+}
+
+/// Column resolution for one FROM table's pre-pass: which conjuncts read
+/// only that table's non-XML columns, resolved by [`RowCtx::resolve`]
+/// against the shape of the whole joined row.
+struct ColumnScope<'s> {
+    alias: &'s str,
+    t: &'s Table,
+    shape: &'s RowCtx,
+}
+
+impl ColumnScope<'_> {
+    /// `cond` reads only non-XML columns of the table and embeds no
+    /// XQuery; the columns it reads are marked in `want`.
+    fn relational_cond(&self, cond: &SqlCond, want: &mut [bool]) -> bool {
+        match cond {
+            SqlCond::Cmp(_, a, b) => self.relational_expr(a, want) && self.relational_expr(b, want),
+            SqlCond::And(a, b) | SqlCond::Or(a, b) => {
+                self.relational_cond(a, want) && self.relational_cond(b, want)
+            }
+            SqlCond::Not(c) => self.relational_cond(c, want),
+            SqlCond::XmlExists { .. } => false,
+        }
+    }
+
+    fn relational_expr(&self, expr: &SqlExpr, want: &mut [bool]) -> bool {
+        match expr {
+            SqlExpr::Integer(_) | SqlExpr::Double(_) | SqlExpr::Varchar(_) | SqlExpr::Null => true,
+            SqlExpr::Column { qualifier, name } => {
+                let Ok(((alias, name), _)) = self.shape.resolve(qualifier.as_deref(), name) else {
+                    return false;
+                };
+                match self.t.column_index(name) {
+                    Some(ci) if alias == self.alias && self.t.columns[ci].ty != SqlType::Xml => {
+                        want[ci] = true;
+                        true
+                    }
+                    _ => false,
+                }
+            }
+            SqlExpr::XmlQuery { .. } | SqlExpr::XmlCast { .. } => false,
         }
     }
 }
@@ -1530,6 +1809,25 @@ fn default_name(expr: &SqlExpr, i: usize) -> String {
         SqlExpr::XmlQuery { .. } => format!("XMLQUERY_{}", i + 1),
         SqlExpr::XmlCast { .. } => format!("XMLCAST_{}", i + 1),
         _ => format!("C{}", i + 1),
+    }
+}
+
+/// The WHERE clause's AND-conjuncts in evaluation order (empty without
+/// a WHERE).
+fn where_conjuncts(cond: Option<&SqlCond>) -> Vec<&SqlCond> {
+    let mut out = Vec::new();
+    if let Some(c) = cond {
+        flatten_and(c, &mut out);
+    }
+    out
+}
+
+/// Copy a plan's costing decisions into the run's stats.
+fn note_plan_cost(plan: &SqlPlan, stats: &mut ExecStats) {
+    if plan.cost.costed {
+        stats.plans_costed = 1;
+        stats.index_candidates_costed = plan.cost.candidates;
+        stats.cost_est_rows = plan.cost.est_rows.unwrap_or(0);
     }
 }
 

@@ -90,11 +90,15 @@ pub enum Counter {
     PlansCosted,
     /// Docid-set intersections performed when AND-combining index probes.
     MultiIndexIntersections,
+    /// Stored XML cells parsed back into document trees by query
+    /// execution (row fetches and collection scans) — physical decode
+    /// work, as opposed to `DocsEvaluated`'s logical count.
+    RowsDecoded,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 38] = [
+    pub const ALL: [Counter; 39] = [
         Counter::QueriesExecuted,
         Counter::SqlStatements,
         Counter::IndexProbes,
@@ -133,6 +137,7 @@ impl Counter {
         Counter::IndexCandidatesCosted,
         Counter::PlansCosted,
         Counter::MultiIndexIntersections,
+        Counter::RowsDecoded,
     ];
 
     /// Prometheus series name.
@@ -176,6 +181,7 @@ impl Counter {
             Counter::IndexCandidatesCosted => "xqdb_index_candidates_costed_total",
             Counter::PlansCosted => "xqdb_plans_costed_total",
             Counter::MultiIndexIntersections => "xqdb_multi_index_intersections_total",
+            Counter::RowsDecoded => "xqdb_rows_decoded_total",
         }
     }
 
@@ -228,6 +234,7 @@ impl Counter {
             Counter::MultiIndexIntersections => {
                 "docid-set intersections performed when AND-combining index probes"
             }
+            Counter::RowsDecoded => "stored XML cells parsed into document trees by queries",
         }
     }
 }

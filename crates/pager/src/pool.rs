@@ -29,7 +29,8 @@ use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::{Duration, Instant};
 
 use xqdb_xdm::XdmError;
 
@@ -38,6 +39,12 @@ use crate::PageId;
 
 /// Default pool capacity in frames (256 × 8 KiB = 2 MiB).
 pub const DEFAULT_BUFFER_PAGES: usize = 256;
+
+/// How long a fetch waits for a concurrent reader to unpin a frame when
+/// every frame is pinned, before failing. Readers pin one page at a time,
+/// for a copy, so a full pool drains in microseconds; the bound only
+/// matters if pins were held across another fetch.
+const PIN_WAIT: Duration = Duration::from_secs(2);
 
 /// Magic payload of page 0 (the Meta page) of a page file.
 const FILE_MAGIC: &[u8; 8] = b"XQPAGES1";
@@ -146,6 +153,9 @@ struct Inner {
     /// Free list kept sorted descending so `pop()` reuses the lowest id
     /// first (deterministic placement).
     free: Vec<PageId>,
+    /// Fetches waiting for a frame to be unpinned (unpins signal only
+    /// when there are any: the signal is a system call).
+    waiters: usize,
 }
 
 /// A page store plus its buffer pool. Cheap to share (`Arc<Pager>`); all
@@ -153,6 +163,8 @@ struct Inner {
 #[derive(Debug)]
 pub struct Pager {
     inner: Mutex<Inner>,
+    /// Signalled when a frame's last pin is released.
+    unpinned: Condvar,
     frozen_below: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -170,11 +182,13 @@ impl Pager {
     pub fn new_mem(capacity: usize) -> Pager {
         let capacity = capacity.max(2);
         Pager {
+            unpinned: Condvar::new(),
             inner: Mutex::new(Inner {
                 backing: Backing::Mem(Vec::new()),
                 frames: (0..capacity).map(|_| Frame::empty()).collect(),
                 map: HashMap::new(),
                 clock: 0,
+                waiters: 0,
                 // Page 0 is reserved (chains use id 0 as the end-of-list
                 // sentinel; file backings put the Meta page there).
                 page_count: 1,
@@ -236,11 +250,13 @@ impl Pager {
         let capacity = capacity.max(2);
         Ok((
             Pager {
+                unpinned: Condvar::new(),
                 inner: Mutex::new(Inner {
                     backing: Backing::File(file),
                     frames: (0..capacity).map(|_| Frame::empty()).collect(),
                     map: HashMap::new(),
                     clock: 0,
+                    waiters: 0,
                     page_count,
                     free: Vec::new(),
                 }),
@@ -618,20 +634,37 @@ impl Pager {
 
     fn fetch_slot(&self, id: PageId, count_stats: bool) -> Result<(usize, Arc<FrameBuf>), XdmError> {
         let mut g = self.lock();
-        if id >= g.page_count {
-            return Err(XdmError::internal(format!(
-                "page {id} out of range (page count {})",
-                g.page_count
-            )));
-        }
-        if let Some(&slot) = g.map.get(&id) {
-            if count_stats {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+        let mut deadline = None;
+        loop {
+            if id >= g.page_count {
+                return Err(XdmError::internal(format!(
+                    "page {id} out of range (page count {})",
+                    g.page_count
+                )));
             }
-            g.frames[slot].pins += 1;
-            g.frames[slot].refbit = true;
-            let buf = Arc::clone(&g.frames[slot].buf);
-            return Ok((slot, buf));
+            if let Some(&slot) = g.map.get(&id) {
+                if count_stats {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                }
+                g.frames[slot].pins += 1;
+                g.frames[slot].refbit = true;
+                let buf = Arc::clone(&g.frames[slot].buf);
+                return Ok((slot, buf));
+            }
+            // Every frame pinned: parallel readers outnumber the frames.
+            // Wait for one to unpin (then look the page up again — that
+            // reader may have loaded it) instead of failing the query.
+            if !g.frames.iter().all(|f| f.pins > 0) {
+                break;
+            }
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + PIN_WAIT);
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else { break };
+            g.waiters += 1;
+            g = match self.unpinned.wait_timeout(g, left) {
+                Ok((g, _)) => g,
+                Err(e) => e.into_inner().0,
+            };
+            g.waiters -= 1;
         }
         if count_stats {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -741,8 +774,12 @@ impl Pager {
 
     fn unpin(&self, slot: usize) {
         let mut g = self.lock();
-        if let Some(frame) = g.frames.get_mut(slot) {
+        let released = g.frames.get_mut(slot).is_some_and(|frame| {
             frame.pins = frame.pins.saturating_sub(1);
+            frame.pins == 0
+        });
+        if released && g.waiters > 0 {
+            self.unpinned.notify_all();
         }
     }
 }

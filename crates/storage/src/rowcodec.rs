@@ -120,7 +120,36 @@ impl<'a> Reader<'a> {
 /// Decode only the record header — enough for recovery's directory and
 /// signature rebuild, without touching (or parsing) the values.
 pub fn decode_header(bytes: &[u8]) -> Result<(u64, PathSignature), XdmError> {
+    read_header(&mut Reader { bytes, pos: 0 })
+}
+
+/// Decode a whole row. XML text re-parses into a fresh document tree.
+pub fn decode_row(bytes: &[u8]) -> Result<(u64, PathSignature, Vec<SqlValue>), XdmError> {
     let mut r = Reader { bytes, pos: 0 };
+    let (rowid, sig) = read_header(&mut r)?;
+    let ncols = r.u16()? as usize;
+    let mut row = Vec::with_capacity(ncols);
+    for _ in 0..ncols {
+        row.extend(read_value(&mut r, true)?);
+    }
+    Ok((rowid, sig, row))
+}
+
+/// Decode only the columns `want` selects (`want[i]` for column `i`;
+/// columns past its end are not wanted). Unwanted values come back as
+/// `None` and cost a length-prefixed skip: an unwanted XML payload is
+/// bounds- and UTF-8-checked but never parsed, so a relational predicate
+/// over the other columns reads a row without building a document tree.
+pub fn decode_columns(bytes: &[u8], want: &[bool]) -> Result<Vec<Option<SqlValue>>, XdmError> {
+    let mut r = Reader { bytes, pos: 0 };
+    read_header(&mut r)?;
+    let ncols = r.u16()? as usize;
+    (0..ncols)
+        .map(|i| read_value(&mut r, want.get(i).copied().unwrap_or(false)))
+        .collect()
+}
+
+fn read_header(r: &mut Reader<'_>) -> Result<(u64, PathSignature), XdmError> {
     let rowid = r.u64()?;
     let mut words = [0u64; SIGNATURE_WORDS];
     for w in &mut words {
@@ -129,38 +158,37 @@ pub fn decode_header(bytes: &[u8]) -> Result<(u64, PathSignature), XdmError> {
     Ok((rowid, PathSignature::from_words(words)))
 }
 
-/// Decode a whole row. XML text re-parses into a fresh document tree.
-pub fn decode_row(bytes: &[u8]) -> Result<(u64, PathSignature, Vec<SqlValue>), XdmError> {
-    let mut r = Reader { bytes, pos: 0 };
-    let rowid = r.u64()?;
-    let mut words = [0u64; SIGNATURE_WORDS];
-    for w in &mut words {
-        *w = r.u64()?;
-    }
-    let ncols = r.u16()? as usize;
-    let mut row = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        let tag = r.take(1)?[0];
-        row.push(match tag {
-            VTAG_NULL => SqlValue::Null,
-            VTAG_INTEGER => SqlValue::Integer(r.u64()? as i64),
-            VTAG_DOUBLE => SqlValue::Double(f64::from_bits(r.u64()?)),
-            VTAG_VARCHAR => SqlValue::Varchar(r.str()?.to_string()),
-            VTAG_DATE => SqlValue::Date(xqdb_xdm::Date::parse(r.str()?)?),
-            VTAG_TIMESTAMP => SqlValue::Timestamp(xqdb_xdm::DateTime::parse(r.str()?)?),
-            VTAG_XML => {
-                let text = r.str()?;
-                let doc = xqdb_xmlparse::parse_document(text).map_err(|e| {
-                    XdmError::page_corrupt(format!("stored XML document no longer parses: {e}"))
-                })?;
-                SqlValue::Xml(doc.root())
+/// Read one tagged value. With `want` false the value's bytes are still
+/// consumed and checked (bounds, UTF-8 of string payloads, the tag), but
+/// nothing is parsed or allocated and the result is `None`.
+fn read_value(r: &mut Reader<'_>, want: bool) -> Result<Option<SqlValue>, XdmError> {
+    let tag = r.take(1)?[0];
+    let value = match tag {
+        VTAG_NULL => SqlValue::Null,
+        VTAG_INTEGER => SqlValue::Integer(r.u64()? as i64),
+        VTAG_DOUBLE => SqlValue::Double(f64::from_bits(r.u64()?)),
+        VTAG_VARCHAR | VTAG_DATE | VTAG_TIMESTAMP | VTAG_XML => {
+            let text = r.str()?;
+            if !want {
+                return Ok(None);
             }
-            t => {
-                return Err(XdmError::page_corrupt(format!("heap record: unknown value tag {t}")))
+            match tag {
+                VTAG_VARCHAR => SqlValue::Varchar(text.to_string()),
+                VTAG_DATE => SqlValue::Date(xqdb_xdm::Date::parse(text)?),
+                VTAG_TIMESTAMP => SqlValue::Timestamp(xqdb_xdm::DateTime::parse(text)?),
+                _ => {
+                    let doc = xqdb_xmlparse::parse_document(text).map_err(|e| {
+                        XdmError::page_corrupt(format!(
+                            "stored XML document no longer parses: {e}"
+                        ))
+                    })?;
+                    SqlValue::Xml(doc.root())
+                }
             }
-        });
-    }
-    Ok((rowid, PathSignature::from_words(words), row))
+        }
+        t => return Err(XdmError::page_corrupt(format!("heap record: unknown value tag {t}"))),
+    };
+    Ok(want.then_some(value))
 }
 
 #[cfg(test)]
@@ -168,8 +196,8 @@ mod tests {
     use super::*;
     use crate::synopsis::observe_document;
 
-    #[test]
-    fn roundtrip_all_types() {
+    /// One value of every tag, XML last.
+    fn all_types_row() -> (PathSignature, Vec<SqlValue>) {
         let doc = xqdb_xmlparse::parse_document(r#"<a b="1">t&amp;x</a>"#).unwrap();
         let sig = observe_document(&doc.root(), None);
         let row = vec![
@@ -181,25 +209,90 @@ mod tests {
             SqlValue::Timestamp(xqdb_xdm::DateTime::parse("2006-09-12T23:59:59").unwrap()),
             SqlValue::Xml(doc.root()),
         ];
+        (sig, row)
+    }
+
+    fn assert_same_value(a: &SqlValue, b: &SqlValue) {
+        match (a, b) {
+            (SqlValue::Xml(x), SqlValue::Xml(y)) => assert_eq!(
+                xqdb_xmlparse::serialize_node(x),
+                xqdb_xmlparse::serialize_node(y)
+            ),
+            (SqlValue::Double(x), SqlValue::Double(y)) => assert_eq!(x.to_bits(), y.to_bits()),
+            _ => assert_eq!(format!("{a:?}"), format!("{b:?}")),
+        }
+    }
+
+    #[test]
+    fn roundtrip_all_types() {
+        let (sig, row) = all_types_row();
         let bytes = encode_row(7, &sig, &row);
         let (rowid, sig2, row2) = decode_row(&bytes).unwrap();
         assert_eq!(rowid, 7);
         assert_eq!(sig, sig2);
         assert_eq!(row2.len(), row.len());
         for (a, b) in row.iter().zip(&row2) {
-            match (a, b) {
-                (SqlValue::Xml(x), SqlValue::Xml(y)) => assert_eq!(
-                    xqdb_xmlparse::serialize_node(x),
-                    xqdb_xmlparse::serialize_node(y)
-                ),
-                (SqlValue::Double(x), SqlValue::Double(y)) => {
-                    assert_eq!(x.to_bits(), y.to_bits())
-                }
-                _ => assert_eq!(format!("{a:?}"), format!("{b:?}")),
-            }
+            assert_same_value(a, b);
         }
         let (rowid3, sig3) = decode_header(&bytes).unwrap();
         assert_eq!((rowid3, sig3), (7, sig));
+    }
+
+    #[test]
+    fn selective_decode_equals_full_decode_per_column() {
+        let (sig, row) = all_types_row();
+        let bytes = encode_row(7, &sig, &row);
+        let (_, _, full) = decode_row(&bytes).unwrap();
+        for col in 0..row.len() {
+            let mut want = vec![false; row.len()];
+            want[col] = true;
+            let cells = decode_columns(&bytes, &want).unwrap();
+            assert_eq!(cells.len(), row.len(), "column {col}: one slot per column");
+            for (i, cell) in cells.iter().enumerate() {
+                match cell {
+                    Some(v) if i == col => assert_same_value(v, &full[col]),
+                    None if i != col => {}
+                    other => panic!("column {col}: slot {i} decoded as {other:?}"),
+                }
+            }
+        }
+        // Nothing wanted (and a short mask): every slot skipped, no error.
+        assert!(decode_columns(&bytes, &[]).unwrap().iter().all(Option::is_none));
+        // Everything wanted: the full row.
+        let all = decode_columns(&bytes, &vec![true; row.len()]).unwrap();
+        for (a, b) in all.iter().zip(&full) {
+            assert_same_value(a.as_ref().unwrap(), b);
+        }
+    }
+
+    #[test]
+    fn skipped_xml_payload_is_still_checked() {
+        let doc = xqdb_xmlparse::parse_document("<order><id>abc</id></order>").unwrap();
+        let row = vec![SqlValue::Integer(5), SqlValue::Xml(doc.root())];
+        let bytes = encode_row(0, &PathSignature::EMPTY, &row);
+        let only_int = [true, false];
+        // Every truncation, including one inside the skipped XML payload,
+        // is a typed PageCorrupt.
+        for cut in 0..bytes.len() {
+            let err = decode_columns(&bytes[..cut], &only_int).unwrap_err();
+            assert_eq!(err.code, xqdb_xdm::ErrorCode::PageCorrupt, "cut at {cut}");
+        }
+        // Invalid UTF-8 inside the skipped payload is caught without parsing.
+        let mut bad = bytes.clone();
+        let at = bytes.windows(3).position(|w| w == b"abc").unwrap();
+        bad[at] = 0xFF;
+        let err = decode_columns(&bad, &only_int).unwrap_err();
+        assert_eq!(err.code, xqdb_xdm::ErrorCode::PageCorrupt);
+        assert!(err.message.contains("UTF-8"), "{}", err.message);
+        // A payload that is valid UTF-8 but not XML is only parsed when
+        // wanted: the relational column still decodes.
+        let mut unparsable = bytes.clone();
+        let lt = bytes.iter().position(|&b| b == b'<').unwrap();
+        unparsable[lt] = b'x'; // `xorder>…`: the root tag is gone
+        let cells = decode_columns(&unparsable, &only_int).unwrap();
+        assert!(matches!(cells[0], Some(SqlValue::Integer(5))));
+        let err = decode_columns(&unparsable, &[false, true]).unwrap_err();
+        assert_eq!(err.code, xqdb_xdm::ErrorCode::PageCorrupt);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use xqdb_xdm::{ErrorCode, XdmError};
 
 use xqdb_twig::{LabelEntry, LabelStore};
 
-use crate::rowcodec::{decode_header, decode_row, encode_row};
+use crate::rowcodec::{decode_columns, decode_header, decode_row, encode_row};
 use crate::synopsis::{
     observe_document, observe_document_labeled, PathSignature, PathSynopsis,
 };
@@ -528,9 +528,47 @@ impl Table {
         self.row_counted(id, &mut n)
     }
 
-    /// Fetch a single cell (decodes the whole row — rows are records).
+    /// Fetch a single cell. Only that column is decoded: the row's other
+    /// XML payloads are stepped over without parsing.
     pub fn cell(&self, id: RowId, col: usize) -> Result<Option<SqlValue>, XdmError> {
-        Ok(self.row(id)?.and_then(|r| r.into_iter().nth(col)))
+        let mut want = vec![false; self.columns.len()];
+        if let Some(w) = want.get_mut(col) {
+            *w = true;
+        }
+        Ok(self.row_columns(id, &want)?.and_then(|r| r.into_iter().nth(col).flatten()))
+    }
+
+    /// Fetch a row decoding only the columns `want` selects (see
+    /// [`crate::rowcodec::decode_columns`]); unwanted columns are `None`.
+    /// `Ok(None)` for out-of-range or deleted ids.
+    pub fn row_columns(
+        &self,
+        id: RowId,
+        want: &[bool],
+    ) -> Result<Option<Vec<Option<SqlValue>>>, XdmError> {
+        if self.deleted.contains(&id) {
+            return Ok(None);
+        }
+        let Some(&rid) = self.directory.get(id) else { return Ok(None) };
+        decode_columns(&self.heap.get(rid)?, want).map(Some)
+    }
+
+    /// Iterate the live rows decoding only the columns `want` selects —
+    /// the column-selective scan: a predicate over relational columns
+    /// reads every record without parsing any XML the mask leaves out.
+    pub fn scan_columns<'a>(
+        &'a self,
+        want: &'a [bool],
+    ) -> impl Iterator<Item = Result<(RowId, Vec<Option<SqlValue>>), XdmError>> + 'a {
+        (0..self.directory.len()).filter_map(move |id| {
+            if self.deleted.contains(&id) {
+                return None;
+            }
+            Some((|| {
+                let bytes = self.heap.get(self.directory[id])?;
+                Ok((id, decode_columns(&bytes, want)?))
+            })())
+        })
     }
 
     /// Iterate `(RowId, row)` pairs — the full table scan. Rows decode
@@ -606,6 +644,42 @@ mod tests {
             vec![3, 4]
         );
         assert!(t.scan_range(4, 2).next().is_none());
+    }
+
+    #[test]
+    fn column_selective_reads_match_full_rows() {
+        let mut t = orders();
+        for i in 0..4 {
+            let doc = xqdb_xmlparse::parse_document(&format!("<order n='{i}'/>")).unwrap();
+            t.insert(vec![SqlValue::Integer(i), SqlValue::Xml(doc.root())]).unwrap();
+        }
+        t.delete_row(2).unwrap();
+        let want = [true, false];
+        let ids: Vec<_> = t
+            .scan_columns(&want)
+            .map(|r| {
+                let (id, cells) = r.unwrap();
+                assert!(cells[1].is_none(), "the XML column was not decoded");
+                match cells[0] {
+                    Some(SqlValue::Integer(v)) => assert_eq!(v, id as i64),
+                    ref other => panic!("row {id}: {other:?}"),
+                }
+                id
+            })
+            .collect();
+        assert_eq!(ids, vec![0, 1, 3], "deleted rows are skipped");
+        assert!(t.row_columns(2, &want).unwrap().is_none());
+        assert!(t.row_columns(99, &want).unwrap().is_none());
+        for id in [0, 1, 3] {
+            let full = t.row(id).unwrap().unwrap();
+            let SqlValue::Xml(n) = t.cell(id, 1).unwrap().unwrap() else { panic!("xml cell") };
+            let SqlValue::Xml(m) = &full[1] else { panic!("xml cell") };
+            assert_eq!(
+                xqdb_xmlparse::serialize_node(&n),
+                xqdb_xmlparse::serialize_node(m)
+            );
+        }
+        assert!(t.cell(0, 9).unwrap().is_none(), "out-of-range column");
     }
 
     #[test]

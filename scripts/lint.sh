@@ -106,6 +106,16 @@ if grep -rln --include='*.rs' 'reclaim_tombstones' crates tests \
   exit 1
 fi
 
+# The SQL front end reads base tables only through its row source
+# (crates/core/src/sqlxml/exec.rs): access paths, a column-selective
+# relational pre-pass that parses no XML, then survivors fetched by point
+# lookup. A whole-row scan there would parse every row's XML again,
+# whatever the access paths and the pre-pass had ruled out.
+if grep -rn --include='*.rs' -E '\.scan\(\)|scan_range\(' crates/core/src/sqlxml/; then
+  echo "error: whole-row table scan under crates/core/src/sqlxml (read through the SQL row source)" >&2
+  exit 1
+fi
+
 # The paper's query suite must survive the wire: run it through a loopback
 # server (framing, admission, session locking) and byte-compare against
 # direct in-process execution.

@@ -78,6 +78,7 @@ fn assert_registry_matches_stats(
         stats.docs_evaluated_total() as u64,
         "{label}: documents evaluated"
     );
+    assert_eq!(delta(Counter::RowsDecoded), stats.rows_decoded, "{label}: rows decoded");
     assert_eq!(delta(Counter::EvalSteps), stats.steps_used, "{label}: eval steps");
     assert_eq!(
         delta(Counter::PrefilterDocsSkipped),
@@ -183,6 +184,7 @@ fn expected_counter_lines(stats: &ExecStats) -> Vec<String> {
             stats.docs_evaluated_total(),
             stats.docs_total.values().sum::<usize>()
         ),
+        format!("  rows decoded: {}\n", stats.rows_decoded),
         format!("  prefilter docs skipped: {}\n", stats.prefilter_docs_skipped),
         format!(
             "  twig joins: {} ({} candidate(s), {} skipped)\n",
@@ -402,9 +404,86 @@ fn sql_explain_analyze_reconciles_with_registry() {
             result.stats.docs_evaluated_total() as u64,
             "{tag}: documents evaluated"
         );
+        assert_eq!(
+            delta(Counter::RowsDecoded),
+            result.stats.rows_decoded,
+            "{tag}: rows decoded"
+        );
+        assert_eq!(
+            result.stats.rows_decoded,
+            result.stats.docs_evaluated_total() as u64,
+            "{tag}: only the probe's survivors are decoded"
+        );
         assert!(result.stats.index_probes > 0, "{tag}: the probe actually ran");
         assert!(report.contains("-- executed:"), "{tag}: report ends with the row count");
     }
+}
+
+/// Physical decode work: `WHERE ordid = N` over 10k orders parses exactly
+/// one XML document (the relational pre-pass reads the integer column
+/// without parsing any), and an indexed `XMLEXISTS` parses exactly its
+/// survivors — on the SQL front end, its DML, and the XQuery front end.
+#[test]
+fn decode_counter_counts_only_fetched_documents() {
+    const N: i64 = 10_000;
+    let mut c = Catalog::new();
+    create_paper_schema(&mut c);
+    for i in 0..N {
+        let doc = xqdb_xmlparse::parse_document(&format!(
+            "<order><lineitem price=\"{}\"/></order>",
+            i % 1000
+        ))
+        .unwrap();
+        c.insert(
+            "orders",
+            vec![xqdb_storage::SqlValue::Integer(i), xqdb_storage::SqlValue::Xml(doc.root())],
+        )
+        .unwrap();
+    }
+    c.create_index("li_price", "orders", "orddoc", "//lineitem/@price", "double").unwrap();
+    let obs = Obs::new(ObsConfig::enabled());
+    let mut s = SqlSession::from_catalog(c);
+    s.set_obs(obs.clone());
+
+    let before = snap(&obs);
+    let point = s.execute("SELECT ordid FROM orders WHERE ordid = 4242").unwrap();
+    let after = snap(&obs);
+    assert_eq!(point.rows.len(), 1);
+    assert_eq!(point.stats.rows_decoded, 1, "one XML cell of {N}");
+    assert_eq!(point.stats.docs_evaluated.get("ORDERS"), Some(&1));
+    assert_eq!(point.stats.docs_total.get("ORDERS"), Some(&(N as usize)));
+    assert_eq!(after.counter(Counter::RowsDecoded) - before.counter(Counter::RowsDecoded), 1);
+
+    let report = s
+        .execute("EXPLAIN ANALYZE SELECT ordid FROM orders WHERE ordid = 4242")
+        .unwrap()
+        .message
+        .unwrap();
+    assert!(report.contains("  rows decoded: 1\n"), "report:\n{report}");
+    assert!(report.contains(&format!("  documents evaluated: 1 of {N}\n")), "report:\n{report}");
+
+    let q = "SELECT ordid FROM orders \
+             WHERE XMLEXISTS('$o//lineitem[@price > 994]' passing orddoc as \"o\")";
+    let hit = s.execute(q).unwrap();
+    assert_eq!(hit.rows.len(), 50);
+    assert_eq!(hit.stats.rows_decoded, 50, "exactly the probe's survivors");
+    assert_eq!(hit.stats.docs_evaluated_total(), 50);
+
+    let xq = run_xquery_with_options(
+        &s.catalog,
+        "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 994]",
+        &ExecOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(xq.sequence.len(), 50);
+    assert_eq!(xq.stats.rows_decoded, 50, "the XQuery front end decodes the same survivors");
+
+    let report = s
+        .execute("EXPLAIN ANALYZE DELETE FROM orders WHERE ordid = 17")
+        .unwrap()
+        .message
+        .unwrap();
+    assert!(report.contains("  rows decoded: 1\n"), "DML report:\n{report}");
 }
 
 #[test]

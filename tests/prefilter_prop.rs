@@ -102,7 +102,9 @@ fn gen_path(rng: &mut StdRng, base: &str) -> String {
 }
 
 /// A random query: a bare path, a FLWOR over it, a FLWOR with a `where`
-/// clause, or an aggregate — ~30% declare the test default namespace.
+/// clause, FLWORs with `let` bindings (used in `where`, used only in
+/// `return`, or not used at all), or an aggregate — ~30% declare the test
+/// default namespace.
 fn gen_query(rng: &mut StdRng) -> String {
     let prolog = if rng.random_bool(0.3) {
         format!("declare default element namespace \"{NS}\"; ")
@@ -110,7 +112,7 @@ fn gen_query(rng: &mut StdRng) -> String {
         String::new()
     };
     let col = "db2-fn:xmlcolumn('DOCS.DOC')";
-    match rng.random_range(0..5u32) {
+    match rng.random_range(0..8u32) {
         0 => format!("{prolog}{}", gen_path(rng, col)),
         1 => format!("{prolog}for $d in {} return $d", gen_path(rng, col)),
         2 => format!(
@@ -124,7 +126,41 @@ fn gen_query(rng: &mut StdRng) -> String {
             name(rng),
             name(rng)
         ),
+        4 => format!(
+            "{prolog}for $d in {col}/{} let $x := {} return $d/{}",
+            name(rng),
+            gen_path(rng, "$d"),
+            name(rng)
+        ),
+        5 => format!(
+            "{prolog}for $d in {col}/{} let $x := $d/{} return $x",
+            name(rng),
+            name(rng)
+        ),
+        6 => format!("{prolog}let $x := {} return $x/{}", gen_path(rng, col), name(rng)),
         _ => format!("{prolog}count({})", gen_path(rng, col)),
+    }
+}
+
+/// A random `XMLEXISTS` body over the PASSING variable `$d`: mostly a
+/// path, sometimes a FLWOR whose `let` is unused, used only in `return`,
+/// or used in `where`.
+fn gen_sql_pred(rng: &mut StdRng) -> String {
+    match rng.random_range(0..6u32) {
+        0 => format!("let $x := {} return {}", gen_path(rng, "$d"), gen_path(rng, "$d")),
+        1 => format!(
+            "for $o in $d/{} let $x := $o/{} return $o/{}",
+            name(rng),
+            name(rng),
+            name(rng)
+        ),
+        2 => format!(
+            "for $o in $d/{} let $x := $o/{} where $x/{} return $o",
+            name(rng),
+            name(rng),
+            name(rng)
+        ),
+        _ => gen_path(rng, "$d"),
     }
 }
 
@@ -216,7 +252,7 @@ fn sql_prefilter_on_equals_off() {
             on.execute(&stmt).unwrap();
             off.execute(&stmt).unwrap();
         }
-        let pred = gen_path(&mut rng, "$d").replace('\'', "\"");
+        let pred = gen_sql_pred(&mut rng).replace('\'', "\"");
         let q = format!(
             "SELECT id FROM docs WHERE XMLEXISTS('{pred}' passing doc as \"d\")"
         );
@@ -227,5 +263,78 @@ fn sql_prefilter_on_equals_off() {
             format!("{:?}", b.rows),
             "case {case}: SQL rows diverged (false negative!)\n{q}"
         );
+    }
+}
+
+/// A two-document catalog: one order with a `<promo>`, one without.
+fn promo_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    c.create_table(Table::new(
+        "docs",
+        vec![Column::new("id", SqlType::Integer), Column::new("doc", SqlType::Xml)],
+    ))
+    .unwrap();
+    for (i, xml) in [
+        "<order><promo><code/></promo><custid>a</custid></order>",
+        "<order><custid>b</custid></order>", // no promo
+    ]
+    .iter()
+    .enumerate()
+    {
+        let doc = xqdb_xmlparse::parse_document(xml).unwrap();
+        c.insert("docs", vec![SqlValue::Integer(i as i64), SqlValue::Xml(doc.root())])
+            .unwrap();
+    }
+    c
+}
+
+/// Regression: a `let` over a `for` variable's path must not join the
+/// `for` group. `let` keeps tuples whose value is empty, so the order
+/// without `<promo>` still returns its `custid`.
+#[test]
+fn let_over_for_var_does_not_drop_docs() {
+    let c = promo_catalog();
+    let q = "for $o in db2-fn:xmlcolumn('DOCS.DOC')/order \
+             let $p := $o/promo \
+             return $o/custid";
+    let off = ExecOptions { prefilter: false, ..ExecOptions::default() };
+    let want = xqdb_xmlparse::serialize_sequence(
+        &run_xquery_with_options(&c, q, &off).unwrap().sequence,
+    );
+    assert_eq!(want, "<custid>a</custid><custid>b</custid>");
+    let out = run_xquery_with_options(&c, q, &ExecOptions::default()).unwrap();
+    let got = xqdb_xmlparse::serialize_sequence(&out.sequence);
+    assert_eq!(got, want, "prefilter dropped a doc (skipped={})", out.stats.prefilter_docs_skipped);
+    // A `where` use of the let variable does eliminate the tuple, so it
+    // may (and does) still filter.
+    let q = "for $o in db2-fn:xmlcolumn('DOCS.DOC')/order \
+             let $p := $o/promo where $p/code \
+             return $o/custid";
+    let out = run_xquery_with_options(&c, q, &ExecOptions::default()).unwrap();
+    assert_eq!(xqdb_xmlparse::serialize_sequence(&out.sequence), "<custid>a</custid>");
+    if std::env::var("XQDB_PREFILTER").map_or(true, |v| v != "off") {
+        assert_eq!(out.stats.prefilter_docs_skipped, 1, "the where use still filters");
+    }
+}
+
+/// The SQL `XMLEXISTS` twins of the `let` regression: a `let` over the
+/// PASSING variable's `for` binding, and a `let` over the PASSING
+/// variable itself, keep the row without `<promo>`.
+#[test]
+fn sql_let_does_not_drop_rows() {
+    for pred in [
+        "for $o in $d/order let $p := $o/promo return $o/custid",
+        "let $p := $d/order/promo return $d/order/custid",
+        "let $p := $d/order/promo let $q := $p/code return $d/order/custid",
+    ] {
+        let mut rows = Vec::new();
+        for prefilter in [false, true] {
+            let mut s = SqlSession::from_catalog(promo_catalog());
+            s.prefilter = prefilter;
+            let q = format!("SELECT id FROM docs WHERE XMLEXISTS('{pred}' passing doc as \"d\")");
+            rows.push(format!("{:?}", s.execute(&q).unwrap().rows));
+        }
+        assert_eq!(rows[0], "[[Integer(0)], [Integer(1)]]", "{pred}");
+        assert_eq!(rows[1], rows[0], "prefilter dropped a row: {pred}");
     }
 }
